@@ -1,0 +1,15 @@
+//! Records the compiler version for the benchmark's host stamp.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .unwrap_or_default();
+    println!("cargo:rustc-env=LOOPBENCH_RUSTC={}", version.trim());
+    println!("cargo:rerun-if-changed=build.rs");
+}
