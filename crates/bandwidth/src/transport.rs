@@ -449,19 +449,26 @@ impl SequenceTracker {
     /// is [`SeqStatus::Fresh`]; anything older is a
     /// [`SeqStatus::Duplicate`].
     ///
+    /// "Older" and "future" use serial-number arithmetic (RFC 1982) on
+    /// the wrapping counter: `seq` is from the future iff it lies
+    /// `1..2^31` steps ahead of the expected number, and older
+    /// otherwise, so a retransmitted `u32::MAX` is still a duplicate
+    /// after the counter wraps to 0.
+    ///
     /// # Errors
     ///
     /// [`ParseFrameError::SequenceGap`] if `seq` is from the future —
     /// the frames in between were lost. The tracker does *not* advance;
     /// the caller decides whether to [`SequenceTracker::resync`].
     pub fn accept(&mut self, seq: u32) -> Result<SeqStatus, ParseFrameError> {
-        if seq == self.next {
+        let ahead = seq.wrapping_sub(self.next);
+        if ahead == 0 {
             self.next = self.next.wrapping_add(1);
             Ok(SeqStatus::Fresh)
-        } else if seq < self.next {
-            Ok(SeqStatus::Duplicate)
-        } else {
+        } else if ahead < 1 << 31 {
             Err(ParseFrameError::SequenceGap { expected: self.next, got: seq })
+        } else {
+            Ok(SeqStatus::Duplicate)
         }
     }
 
@@ -602,6 +609,24 @@ mod tests {
         assert_eq!(tr.expected(), 2, "a gap must not advance the tracker");
         tr.resync(5);
         assert_eq!(tr.accept(5), Ok(SeqStatus::Fresh));
+    }
+
+    #[test]
+    fn sequence_tracker_survives_the_u32_wrap() {
+        let mut tr = SequenceTracker::new();
+        tr.resync(u32::MAX);
+        assert_eq!(tr.accept(u32::MAX), Ok(SeqStatus::Fresh));
+        assert_eq!(tr.expected(), 0);
+        assert_eq!(tr.accept(u32::MAX), Ok(SeqStatus::Duplicate));
+        assert_eq!(tr.accept(u32::MAX - 5), Ok(SeqStatus::Duplicate));
+        assert_eq!(tr.accept(3), Err(ParseFrameError::SequenceGap { expected: 0, got: 3 }));
+        assert_eq!(tr.accept(0), Ok(SeqStatus::Fresh));
+        // Half the sequence space ahead is the last "future" number.
+        assert_eq!(
+            tr.accept(1 + (1 << 31) - 1),
+            Err(ParseFrameError::SequenceGap { expected: 1, got: 1 << 31 })
+        );
+        assert_eq!(tr.accept(1 + (1 << 31)), Ok(SeqStatus::Duplicate));
     }
 
     #[test]

@@ -159,31 +159,37 @@ proptest! {
     }
 
     /// The sequence tracker tells a retransmitted duplicate from the
-    /// next fresh request for any starting sequence number and any
-    /// duplication count, and flags any gap without advancing.
+    /// next fresh request for any starting sequence number — half the
+    /// cases start within 64 of `u32::MAX`, so the successor or the gap
+    /// crosses the wrap — and any duplication count, and flags any gap
+    /// without advancing.
     #[test]
     fn sequence_tracker_classifies_duplicates_and_gaps(
-        start in 0u32..u32::MAX - 64,
+        start in prop_oneof![any::<u32>(), u32::MAX - 63..=u32::MAX],
         dups in 0usize..4,
         gap in 2u32..32,
     ) {
         let mut tracker = SequenceTracker::new();
         tracker.resync(start);
         prop_assert_eq!(tracker.accept(start), Ok(SeqStatus::Fresh));
+        let next = start.wrapping_add(1);
         // A retransmission storm of the same frame: every extra copy is
         // a duplicate, and the tracker keeps expecting the successor.
         for _ in 0..dups {
             prop_assert_eq!(tracker.accept(start), Ok(SeqStatus::Duplicate));
         }
-        prop_assert_eq!(tracker.expected(), start + 1);
+        prop_assert_eq!(tracker.expected(), next);
         // A reordered (future) frame is a gap: flagged, not accepted.
+        let future = start.wrapping_add(gap);
         prop_assert_eq!(
-            tracker.accept(start + gap),
-            Err(ParseFrameError::SequenceGap { expected: start + 1, got: start + gap })
+            tracker.accept(future),
+            Err(ParseFrameError::SequenceGap { expected: next, got: future })
         );
-        prop_assert_eq!(tracker.expected(), start + 1, "a gap must not advance the tracker");
-        // The in-order successor is still fresh after all of the above.
-        prop_assert_eq!(tracker.accept(start + 1), Ok(SeqStatus::Fresh));
+        prop_assert_eq!(tracker.expected(), next, "a gap must not advance the tracker");
+        // The in-order successor is still fresh after all of the above,
+        // and the original frame stays a duplicate past it.
+        prop_assert_eq!(tracker.accept(next), Ok(SeqStatus::Fresh));
+        prop_assert_eq!(tracker.accept(start), Ok(SeqStatus::Duplicate));
     }
 
     /// Version discrimination: the auto parser routes v1 frames to the

@@ -8,8 +8,8 @@
 //! plane per ancilla) and runs the `k`-round sticky filter as one
 //! word-AND chain per plane — 64 logical qubits per instruction. The
 //! per-qubit Clique decision then runs only for the rare qubits whose
-//! filtered syndrome is non-zero (found with a word-OR over the sticky
-//! planes), so the >90%-quiet common case costs no per-qubit work at
+//! filtered syndrome is non-zero (read off the sticky batch's active
+//! mask), so the >90%-quiet common case costs no per-qubit work at
 //! all.
 //!
 //! Decisions are bit-identical to feeding each qubit's stream through

@@ -6,7 +6,7 @@
 //! [`crate::BtwcSystem`] on three seams:
 //!
 //! * **Batched packed ingestion** — one [`SyndromeBatch`] per cycle
-//!   (one qubit-indexed [`PackedBits`] plane per ancilla) instead of
+//!   (one qubit-indexed plane per ancilla in one word block) instead of
 //!   per-qubit `Vec<bool>` rounds. The sticky filter and the "who needs
 //!   decoding at all" check run word-parallel across the whole machine
 //!   ([`btwc_clique::BatchFrontend`]), so the >90%-quiet common case

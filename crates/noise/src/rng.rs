@@ -43,6 +43,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     #[must_use]
     pub fn uniform(&mut self) -> f64 {
         self.inner.random::<f64>()

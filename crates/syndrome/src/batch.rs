@@ -2,14 +2,18 @@
 //! planes") for word-parallel filtering across logical qubits.
 //!
 //! A [`SyndromeBatch`] holds one measurement round for *every* logical
-//! qubit of a machine, as one [`PackedBits`] plane per ancilla index:
-//! bit `q` of plane `a` is qubit `q`'s raw value for ancilla `a`. In
-//! this layout the two-round sticky filter is a word-AND of *planes* —
-//! 64 logical qubits per instruction — and "which qubits need any
-//! decoding at all this cycle" is a word-OR over the planes, so the
-//! mostly-quiet common case (>90% of cycles at practical rates) costs
-//! `O(num_ancillas × num_qubits / 64)` word operations for the whole
-//! machine instead of a per-qubit loop.
+//! qubit of a machine as one qubit-indexed bit plane per ancilla, all
+//! planes packed back to back in a single contiguous word block: bit
+//! `q` of plane `a` is qubit `q`'s raw value for ancilla `a`. In this
+//! layout the two-round sticky filter is a word-AND over the block — 64
+//! logical qubits per instruction — and copying a round is one slice
+//! copy. The batch also keeps an exact *active mask* (the OR of all
+//! planes) current under every mutation, so "which qubits need any
+//! decoding at all this cycle" is a word copy, and scattering an
+//! all-zero round into an already-zero column costs nothing. The
+//! mostly-quiet common case (>90% of cycles at practical rates) thus
+//! costs `O(num_ancillas × num_qubits / 64)` word operations for the
+//! whole machine instead of a per-qubit loop.
 //!
 //! [`BatchHistory`] is the machine-wide counterpart of
 //! [`RoundHistory`](crate::RoundHistory): a recycled ring of the most
@@ -21,15 +25,21 @@ use crate::history::RoundHistory;
 use crate::packed::PackedBits;
 
 /// One syndrome measurement round for every logical qubit of a
-/// machine, stored as one qubit-indexed [`PackedBits`] plane per
-/// ancilla.
+/// machine, stored as qubit-indexed bit planes (one per ancilla) in one
+/// contiguous word block, plus the exact OR of all planes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyndromeBatch {
     num_qubits: usize,
     num_ancillas: usize,
-    /// `planes[a]` has `num_qubits` bits; bit `q` = qubit `q`'s raw
-    /// syndrome for ancilla `a`.
-    planes: Vec<PackedBits>,
+    /// Words per plane: `num_qubits.div_ceil(64)`.
+    stride: usize,
+    /// Plane `a` is `planes[a * stride..(a + 1) * stride]`; bit `q` of
+    /// it is qubit `q`'s raw syndrome for ancilla `a`. Bits at qubit
+    /// positions `>= num_qubits` are always zero.
+    planes: Vec<u64>,
+    /// Bit `q` is set iff any ancilla of qubit `q` is lit: the OR of
+    /// all planes, kept exact by every mutator.
+    active: PackedBits,
 }
 
 impl SyndromeBatch {
@@ -43,10 +53,13 @@ impl SyndromeBatch {
     pub fn new(num_qubits: usize, num_ancillas: usize) -> Self {
         assert!(num_qubits > 0, "batch needs at least one qubit");
         assert!(num_ancillas > 0, "batch needs at least one ancilla");
+        let stride = num_qubits.div_ceil(64);
         Self {
             num_qubits,
             num_ancillas,
-            planes: (0..num_ancillas).map(|_| PackedBits::new(num_qubits)).collect(),
+            stride,
+            planes: vec![0; num_ancillas * stride],
+            active: PackedBits::new(num_qubits),
         }
     }
 
@@ -62,14 +75,23 @@ impl SyndromeBatch {
         self.num_ancillas
     }
 
-    /// The qubit-indexed plane for ancilla `a`.
+    /// The qubit-indexed plane for ancilla `a`, as packed words (bit
+    /// `q % 64` of word `q / 64` is qubit `q`).
     ///
     /// # Panics
     ///
     /// Panics if `a >= num_ancillas()`.
     #[must_use]
-    pub fn plane(&self, a: usize) -> &PackedBits {
-        &self.planes[a]
+    pub fn plane(&self, a: usize) -> &[u64] {
+        assert!(a < self.num_ancillas, "ancilla {a} out of range");
+        &self.planes[a * self.stride..(a + 1) * self.stride]
+    }
+
+    /// Word index of qubit `qubit`'s column within a plane, and its
+    /// bit position in that word.
+    fn column(&self, qubit: usize) -> (usize, usize) {
+        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
+        (qubit / 64, qubit % 64)
     }
 
     /// Qubit `q`'s raw value for ancilla `a`.
@@ -79,7 +101,8 @@ impl SyndromeBatch {
     /// Panics if either index is out of range.
     #[must_use]
     pub fn get(&self, qubit: usize, ancilla: usize) -> bool {
-        self.planes[ancilla].get(qubit)
+        let (w, shift) = self.column(qubit);
+        (self.plane(ancilla)[w] >> shift) & 1 == 1
     }
 
     /// Sets qubit `q`'s raw value for ancilla `a`.
@@ -88,18 +111,28 @@ impl SyndromeBatch {
     ///
     /// Panics if either index is out of range.
     pub fn set(&mut self, qubit: usize, ancilla: usize, value: bool) {
-        self.planes[ancilla].set(qubit, value);
+        let (w, shift) = self.column(qubit);
+        let bit = 1u64 << shift;
+        assert!(ancilla < self.num_ancillas, "ancilla {ancilla} out of range");
+        let word = &mut self.planes[ancilla * self.stride + w];
+        if value {
+            *word |= bit;
+            self.active.set(qubit, true);
+        } else if *word & bit != 0 {
+            *word &= !bit;
+            let lit = self.planes.iter().skip(w).step_by(self.stride).any(|&x| x & bit != 0);
+            self.active.set(qubit, lit);
+        }
     }
 
     /// Clears every plane (dimensions unchanged).
     pub fn clear(&mut self) {
-        for p in &mut self.planes {
-            p.clear();
-        }
+        self.planes.fill(0);
+        self.active.clear();
     }
 
     /// Copies another batch of the same dimensions into this one
-    /// without reallocating.
+    /// without reallocating: one copy of the plane block.
     ///
     /// # Panics
     ///
@@ -107,13 +140,13 @@ impl SyndromeBatch {
     pub fn copy_from(&mut self, other: &SyndromeBatch) {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit count mismatch");
         assert_eq!(self.num_ancillas, other.num_ancillas, "ancilla count mismatch");
-        for (dst, src) in self.planes.iter_mut().zip(&other.planes) {
-            dst.copy_from(src);
-        }
+        self.planes.copy_from_slice(&other.planes);
+        self.active.copy_from(&other.active);
     }
 
     /// Scatters one qubit's packed round (ancilla-indexed, as consumed
-    /// by the per-qubit pipelines) into this batch's column `qubit`.
+    /// by the per-qubit pipelines) into this batch's column `qubit`. An
+    /// all-zero round over an already-zero column writes nothing.
     ///
     /// # Panics
     ///
@@ -121,9 +154,7 @@ impl SyndromeBatch {
     /// range.
     pub fn set_qubit_round(&mut self, qubit: usize, round: &PackedBits) {
         assert_eq!(round.len(), self.num_ancillas, "round width mismatch");
-        for (a, plane) in self.planes.iter_mut().enumerate() {
-            plane.set(qubit, round.get(a));
-        }
+        self.scatter(qubit, round.iter_set());
     }
 
     /// [`SyndromeBatch::set_qubit_round`] from a bool slice.
@@ -134,9 +165,26 @@ impl SyndromeBatch {
     /// range.
     pub fn set_qubit_round_bools(&mut self, qubit: usize, round: &[bool]) {
         assert_eq!(round.len(), self.num_ancillas, "round width mismatch");
-        for (a, plane) in self.planes.iter_mut().enumerate() {
-            plane.set(qubit, round[a]);
+        self.scatter(qubit, round.iter().enumerate().filter(|(_, &v)| v).map(|(a, _)| a));
+    }
+
+    /// Overwrites column `qubit` with the ancillas in `lit`: a strided
+    /// clear, only if the column holds any bit, then one write per lit
+    /// ancilla.
+    fn scatter(&mut self, qubit: usize, lit: impl Iterator<Item = usize>) {
+        let (w, shift) = self.column(qubit);
+        let bit = 1u64 << shift;
+        if self.active.get(qubit) {
+            for word in self.planes.iter_mut().skip(w).step_by(self.stride) {
+                *word &= !bit;
+            }
         }
+        let mut any = false;
+        for a in lit {
+            self.planes[a * self.stride + w] |= bit;
+            any = true;
+        }
+        self.active.set(qubit, any);
     }
 
     /// Gathers column `qubit` back into an ancilla-indexed round
@@ -149,35 +197,41 @@ impl SyndromeBatch {
     /// range.
     pub fn qubit_round_into(&self, qubit: usize, out: &mut PackedBits) {
         assert_eq!(out.len(), self.num_ancillas, "round width mismatch");
-        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
-        // Transpose kernel: the source word and shift are fixed by the
-        // qubit, so each output word is 64 single-bit extracts with no
-        // per-bit bounds checks.
-        let w = qubit / 64;
-        let shift = qubit % 64;
-        for (wi, word) in out.words_mut().iter_mut().enumerate() {
-            let base = wi * 64;
-            let n = (self.num_ancillas - base).min(64);
+        let (w, shift) = self.column(qubit);
+        // Transpose kernel: a strided walk down the column, 64
+        // single-bit extracts per output word.
+        let mut column = self.planes.iter().skip(w).step_by(self.stride).map(|x| (x >> shift) & 1);
+        for word in out.words_mut() {
             let mut acc = 0u64;
-            for j in 0..n {
-                acc |= ((self.planes[base + j].words()[w] >> shift) & 1) << j;
+            for (j, b) in column.by_ref().take(64).enumerate() {
+                acc |= b << j;
             }
             *word = acc;
         }
     }
 
-    /// Word-ORs every plane into `out`: bit `q` is set iff qubit `q`
+    /// Writes the active mask into `out`: bit `q` is set iff qubit `q`
     /// has *any* lit ancilla this round — the machine-wide "who is not
-    /// all-zero" mask, computed without visiting qubits individually.
+    /// all-zero" mask, maintained by every mutator, so this is a word
+    /// copy.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != num_qubits()`.
     pub fn active_qubits_into(&self, out: &mut PackedBits) {
         assert_eq!(out.len(), self.num_qubits, "qubit mask width mismatch");
-        out.clear();
-        for plane in &self.planes {
-            out.or_with(plane);
+        out.copy_from(&self.active);
+    }
+
+    /// Recomputes the active mask as the OR of all planes (after a
+    /// whole-block write).
+    fn refresh_active(&mut self) {
+        let active = self.active.words_mut();
+        active.fill(0);
+        for plane in self.planes.chunks_exact(self.stride) {
+            for (m, &x) in active.iter_mut().zip(plane) {
+                *m |= x;
+            }
         }
     }
 }
@@ -247,8 +301,8 @@ impl BatchHistory {
         self.rounds.is_empty()
     }
 
-    /// Appends a machine round (a plane-by-plane word copy into a
-    /// recycled batch), evicting the oldest round if full.
+    /// Appends a machine round (one block copy into a recycled
+    /// batch), evicting the oldest round if full.
     ///
     /// # Panics
     ///
@@ -270,8 +324,9 @@ impl BatchHistory {
 
     /// The machine-wide `k`-round sticky filter: bit `q` of `out`'s
     /// plane `a` is accepted iff qubit `q`'s ancilla `a` was lit in
-    /// each of the last `k` rounds — one word-AND chain per plane,
-    /// 64 qubits per instruction.
+    /// each of the last `k` rounds — one word-AND chain over the plane
+    /// block, 64 qubits per instruction, skipped outright when no qubit
+    /// is active in all `k` rounds.
     ///
     /// `out` is all-zeros while fewer than `k` rounds have been
     /// recorded (the filter pipeline still filling), exactly matching
@@ -291,13 +346,21 @@ impl BatchHistory {
             return;
         }
         let start = self.rounds.len() - k;
-        out.copy_from(&self.rounds[start]);
-        for r in (start + 1)..self.rounds.len() {
-            let newer = &self.rounds[r];
+        let window = self.rounds.range(start..);
+        // No qubit active in every one of the k rounds: nothing passes.
+        let any_streak = (0..out.stride)
+            .any(|w| window.clone().fold(u64::MAX, |acc, b| acc & b.active.words()[w]) != 0);
+        if !any_streak {
+            out.clear();
+            return;
+        }
+        out.planes.copy_from_slice(&self.rounds[start].planes);
+        for newer in self.rounds.range(start + 1..) {
             for (dst, src) in out.planes.iter_mut().zip(&newer.planes) {
-                dst.and_with(src);
+                *dst &= src;
             }
         }
+        out.refresh_active();
     }
 
     /// Materializes one qubit's decode window out of the machine-wide
@@ -436,7 +499,7 @@ mod tests {
         let mut sticky = SyndromeBatch::new(4, 3);
         history.push(&batch);
         history.sticky_into(2, &mut sticky);
-        assert!(sticky.plane(1).is_zero(), "one round cannot satisfy k=2");
+        assert!(sticky.plane(1).iter().all(|&w| w == 0), "one round cannot satisfy k=2");
         history.push(&batch);
         history.sticky_into(2, &mut sticky);
         assert!(sticky.get(2, 1));
@@ -444,13 +507,13 @@ mod tests {
         assert!(history.is_empty());
         history.push(&batch);
         history.sticky_into(2, &mut sticky);
-        assert!(sticky.plane(1).is_zero(), "reset must refill the pipeline");
+        assert!(sticky.plane(1).iter().all(|&w| w == 0), "reset must refill the pipeline");
         // Recycled buffers must come back fully overwritten.
         let quiet = SyndromeBatch::new(4, 3);
         history.push(&quiet);
         history.push(&quiet);
         history.sticky_into(2, &mut sticky);
-        assert!(sticky.plane(1).is_zero());
+        assert!(sticky.plane(1).iter().all(|&w| w == 0));
     }
 
     #[test]
